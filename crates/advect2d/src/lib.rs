@@ -33,9 +33,7 @@ pub use laxwendroff::{
 };
 pub use ndfield::PaddedFieldN;
 pub use ndproblem::{ProblemN, TimeGridN};
-pub use ndsolve::{
-    jacobi_kernel, padded_rhs, upwind_diffusion_kernel, SolverN, UpwindDiffusionCoefN,
-};
+pub use ndsolve::{KernelN, SolverN};
 pub use problem::{AdvectionProblem, InitialCondition};
 pub use simd::{
     ftcs_row_simd, lax_wendroff_row_simd, simd_isa_label, upwind_row_simd, KernelConfig, KernelKind,

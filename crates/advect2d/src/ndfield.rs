@@ -5,8 +5,8 @@
 //! fundamental periodic domain; the duplicated seam node is *not*
 //! stored) surrounded by a 1-cell halo on every face, row-major with
 //! axis 0 fastest. One timestep refreshes the halo (`O(surface)`
-//! copies), evaluates a point kernel over the interior into the other
-//! buffer, and ping-pongs — the same allocation-free discipline as the
+//! copies), evaluates a [`KernelN`] row by row over the interior into the
+//! other buffer, and ping-pongs — the same allocation-free discipline as the
 //! tuned 2D path, which remains the d=2 fast case (this engine never
 //! runs at d=2 in production; the 2D kernels do).
 //!
@@ -19,11 +19,12 @@
 
 use sparsegrid::ndgrid::{advance, GridN};
 
+use crate::ndsolve::KernelN;
+
 /// A persistent double-buffered halo-padded d-dimensional field.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PaddedFieldN {
     shape: Vec<usize>,
-    pshape: Vec<usize>,
     pstride: Vec<usize>,
     cur: Vec<f64>,
     next: Vec<f64>,
@@ -40,13 +41,7 @@ impl PaddedFieldN {
             pstride[i] = pstride[i - 1] * pshape[i - 1];
         }
         let len = pstride.last().unwrap() * pshape.last().unwrap();
-        PaddedFieldN {
-            shape: shape.to_vec(),
-            pshape,
-            pstride,
-            cur: vec![0.0; len],
-            next: vec![0.0; len],
-        }
+        PaddedFieldN { shape: shape.to_vec(), pstride, cur: vec![0.0; len], next: vec![0.0; len] }
     }
 
     /// A field sized for `grid`'s fundamental domain, loaded from it.
@@ -104,47 +99,38 @@ impl PaddedFieldN {
             grid.shape(),
             self.shape
         );
-        let mut idx = vec![0usize; self.dim()];
-        loop {
-            let off: usize = idx.iter().zip(&self.pstride).map(|(&k, &s)| (k + 1) * s).sum();
-            self.cur[off] = grid.at(&idx);
-            if !advance(&mut idx, &self.shape) {
-                return;
-            }
-        }
+        let n0 = self.shape[0];
+        let values = grid.values();
+        grid_rows(&self.shape, &self.pstride, grid.strides(), |g, p| {
+            self.cur[p..p + n0].copy_from_slice(&values[g..g + n0])
+        });
     }
 
     /// Copy the interior back into `grid`'s fundamental domain and
     /// re-assert the periodic seams (the last node of every axis
     /// duplicates node 0).
     pub fn store(&self, grid: &mut GridN) {
-        let d = self.dim();
-        let mut idx = vec![0usize; d];
-        loop {
-            let off: usize = idx.iter().zip(&self.pstride).map(|(&k, &s)| (k + 1) * s).sum();
-            *grid.at_mut(&idx) = self.cur[off];
-            if !advance(&mut idx, &self.shape) {
-                break;
-            }
-        }
+        let n0 = self.shape[0];
+        let gstride = grid.strides().to_vec();
+        let gshape = grid.shape().to_vec();
+        let values = grid.values_mut();
+        grid_rows(&self.shape, &self.pstride, &gstride, |g, p| {
+            values[g..g + n0].copy_from_slice(&self.cur[p..p + n0])
+        });
         // Seam pass per axis: coordinates on already-seamed axes (< a)
         // range over the full grid extent, later axes stay below their
         // seam (their own pass fills it) — corners end up consistent.
-        let gshape = grid.shape().to_vec();
-        for a in 0..d {
-            let mut span: Vec<usize> = gshape.clone();
-            span[a] = 1;
-            for s in span.iter_mut().skip(a + 1) {
-                *s -= 1;
-            }
-            let mut it = vec![0usize; d];
+        // Axes < a at full extent make index 0 on axis `a` one
+        // contiguous block of `gstride[a]` values.
+        for a in 0..gshape.len() {
+            let sa = gstride[a];
+            let seam = (gshape[a] - 1) * sa;
+            let outer: Vec<usize> = gshape[a + 1..].iter().map(|&n| n - 1).collect();
+            let mut it = vec![0usize; outer.len()];
             loop {
-                let mut dst = it.clone();
-                dst[a] = gshape[a] - 1;
-                let mut src = dst.clone();
-                src[a] = 0;
-                *grid.at_mut(&dst) = grid.at(&src);
-                if !advance(&mut it, &span) {
+                let base: usize = it.iter().zip(&gstride[a + 1..]).map(|(&k, &s)| k * s).sum();
+                values.copy_within(base..base + sa, base + seam);
+                if !advance(&mut it, &outer) {
                     break;
                 }
             }
@@ -155,34 +141,28 @@ impl PaddedFieldN {
     /// Axis `a`'s pass covers the full padded extent of axes `< a` and
     /// the interior extent of axes `> a`, so corners shared by wrapped
     /// axes come out consistent (same scheme as the 2D path: columns
-    /// first, then whole padded rows).
+    /// first, then whole padded rows). With axes `< a` at full padded
+    /// extent, one index on axis `a` is a contiguous block of
+    /// `pstride[a]` values, so each pass is two block copies per index
+    /// of the axes above `a`.
     fn wrap_axes_from(&mut self, from: usize, upto: usize) {
-        let d = self.dim();
         for a in from..upto {
-            let mut span: Vec<usize> = self.pshape.clone();
-            span[a] = 1;
-            for s in span.iter_mut().skip(a + 1) {
-                *s -= 2;
-            }
             let n = self.shape[a];
             let sa = self.pstride[a];
-            let mut it = vec![0usize; d];
-            'pass: loop {
-                let mut off = 0usize;
-                for (i, &iv) in it.iter().enumerate() {
-                    let k = if i == a {
-                        0
-                    } else if i > a {
-                        iv + 1
-                    } else {
-                        iv
-                    };
-                    off += k * self.pstride[i];
+            let outer = &self.shape[a + 1..];
+            let mut it = vec![0usize; outer.len()];
+            loop {
+                let base: usize =
+                    it.iter().zip(&self.pstride[a + 1..]).map(|(&k, &s)| (k + 1) * s).sum();
+                if sa == 1 {
+                    self.cur[base] = self.cur[base + n];
+                    self.cur[base + n + 1] = self.cur[base + 1];
+                } else {
+                    self.cur.copy_within(base + n * sa..base + (n + 1) * sa, base);
+                    self.cur.copy_within(base + sa..base + 2 * sa, base + (n + 1) * sa);
                 }
-                self.cur[off] = self.cur[off + n * sa];
-                self.cur[off + (n + 1) * sa] = self.cur[off + sa];
-                if !advance(&mut it, &span) {
-                    break 'pass;
+                if !advance(&mut it, outer) {
+                    break;
                 }
             }
         }
@@ -223,20 +203,30 @@ impl PaddedFieldN {
         self.cur[z * s..(z + 1) * s].copy_from_slice(data);
     }
 
-    /// One timestep: `kernel` receives the current padded buffer and the
-    /// center offset of each interior point and returns its new value;
-    /// the buffers then swap. The halo of the new current buffer is stale
-    /// until the next refresh/exchange.
-    pub fn step_with(&mut self, kernel: impl Fn(&[f64], usize) -> f64) {
-        let mut idx = vec![0usize; self.dim()];
-        loop {
-            let off: usize = idx.iter().zip(&self.pstride).map(|(&k, &s)| (k + 1) * s).sum();
-            self.next[off] = kernel(&self.cur, off);
-            if !advance(&mut idx, &self.shape) {
-                break;
-            }
-        }
-        std::mem::swap(&mut self.cur, &mut self.next);
+    /// The interior sampled from `f`, in the padded offset space (halo
+    /// entries zero). The field is a slab of a periodic domain with
+    /// `np[i]` nodes on axis `i` whose last axis starts at global plane
+    /// `z0`; interior point `k` sits at `x_i = g_i / np_i`, with `g` its
+    /// global index.
+    pub(crate) fn sample(&self, np: &[usize], z0: usize, f: impl Fn(&[f64]) -> f64) -> Vec<f64> {
+        let mut out = vec![0.0; self.cur.len()];
+        sample_into(&self.shape, &self.pstride, np, z0, &mut out, f);
+        out
+    }
+
+    /// Overwrite the interior of the current buffer with `f` sampled as in
+    /// [`sample`](Self::sample).
+    pub fn fill(&mut self, np: &[usize], z0: usize, f: impl Fn(&[f64]) -> f64) {
+        sample_into(&self.shape, &self.pstride, np, z0, &mut self.cur, f);
+    }
+
+    /// One timestep of `kernel` over the whole interior; the buffers then
+    /// swap. The halo of the new current buffer is stale until the next
+    /// refresh/exchange.
+    pub fn step_with(&mut self, kernel: &KernelN) {
+        let nz = self.shape[self.dim() - 1];
+        self.step_planes(0, nz, kernel);
+        self.commit_step();
     }
 
     /// [`step_with`](Self::step_with) restricted to last-axis interior
@@ -244,26 +234,19 @@ impl PaddedFieldN {
     /// cover by `step_planes` calls followed by one
     /// [`commit_step`](Self::commit_step) — each point evaluates the same
     /// expression, so a decomposed step is bitwise equal to a monolithic
-    /// one.
-    pub fn step_planes(&mut self, z0: usize, z1: usize, kernel: impl Fn(&[f64], usize) -> f64) {
+    /// one. At d = 1 the planes are points and the row is cut to `z0..z1`.
+    pub fn step_planes(&mut self, z0: usize, z1: usize, kernel: &KernelN) {
         let d = self.dim();
         debug_assert!(z1 <= self.shape[d - 1]);
         if z0 >= z1 {
             return;
         }
-        let mut span = self.shape.clone();
-        span[d - 1] = z1 - z0;
-        let mut idx = vec![0usize; d];
-        loop {
-            let mut off = 0usize;
-            for (i, &iv) in idx.iter().enumerate() {
-                let k = if i == d - 1 { iv + z0 + 1 } else { iv + 1 };
-                off += k * self.pstride[i];
-            }
-            self.next[off] = kernel(&self.cur, off);
-            if !advance(&mut idx, &span) {
-                return;
-            }
+        let PaddedFieldN { shape, pstride, cur, next, .. } = self;
+        let mut row = |off: usize, n: usize| kernel.row(cur, off, &mut next[off..off + n]);
+        if d == 1 {
+            row(z0 + 1, z1 - z0);
+        } else {
+            walk_rows(shape, pstride, d - 1, 0, (z0, z1), &mut row);
         }
     }
 
@@ -271,6 +254,77 @@ impl PaddedFieldN {
     /// calls: swap the buffers.
     pub fn commit_step(&mut self) {
         std::mem::swap(&mut self.cur, &mut self.next);
+    }
+}
+
+/// Write `f(x)` at the padded offset of every interior point (see
+/// [`PaddedFieldN::sample`]), reusing one coordinate buffer.
+fn sample_into(
+    shape: &[usize],
+    pstride: &[usize],
+    np: &[usize],
+    z0: usize,
+    out: &mut [f64],
+    f: impl Fn(&[f64]) -> f64,
+) {
+    let d = shape.len();
+    let mut idx = vec![0usize; d];
+    let mut x = vec![0.0f64; d];
+    loop {
+        for i in 0..d {
+            let g = if i == d - 1 { idx[i] + z0 } else { idx[i] };
+            x[i] = g as f64 / np[i] as f64;
+        }
+        let off: usize = idx.iter().zip(pstride).map(|(&k, &s)| (k + 1) * s).sum();
+        out[off] = f(&x);
+        if !advance(&mut idx, shape) {
+            return;
+        }
+    }
+}
+
+/// Call `f(grid_off, padded_off)` with the offsets of the first point of
+/// every axis-0 row of the fundamental domain, in a grid with strides
+/// `gstride` and in the padded field.
+fn grid_rows(
+    shape: &[usize],
+    pstride: &[usize],
+    gstride: &[usize],
+    mut f: impl FnMut(usize, usize),
+) {
+    let outer = &shape[1..];
+    let mut it = vec![0usize; outer.len()];
+    loop {
+        let g: usize = it.iter().zip(&gstride[1..]).map(|(&k, &s)| k * s).sum();
+        let p: usize =
+            pstride[0] + it.iter().zip(&pstride[1..]).map(|(&k, &s)| (k + 1) * s).sum::<usize>();
+        f(g, p);
+        if !advance(&mut it, outer) {
+            return;
+        }
+    }
+}
+
+/// Call `row(off, n_0)` for every interior axis-0 row whose last-axis
+/// index lies in `z.0..z.1`, in memory order; `off` is the padded offset
+/// of the row's first interior point. `axis` (≥ 1) is the outermost axis
+/// left to walk and `base` the offset accumulated over the axes above it.
+fn walk_rows(
+    shape: &[usize],
+    pstride: &[usize],
+    axis: usize,
+    base: usize,
+    z: (usize, usize),
+    row: &mut impl FnMut(usize, usize),
+) {
+    let (lo, hi) = if axis == shape.len() - 1 { z } else { (0, shape[axis]) };
+    for k in lo..hi {
+        let off = base + (k + 1) * pstride[axis];
+        if axis == 1 {
+            row(off + pstride[0], shape[0]);
+        } else {
+            walk_rows(shape, pstride, axis - 1, off, z, row);
+        }
     }
 }
 
@@ -351,20 +405,22 @@ mod tests {
 
     #[test]
     fn plane_decomposed_step_is_bitwise_equal() {
-        let kernel = |cur: &[f64], off: usize| {
-            // A 7-point-ish stencil via fixed strides captured below.
-            cur[off] * 0.4 + cur[off - 1] * 0.3 + cur[off + 1] * 0.3
+        let p = crate::ndproblem::ProblemN::AdvectionDiffusion {
+            a: vec![0.7, -1.1, 0.4],
+            kappa: 0.05,
+            k: vec![1; 3],
         };
         let mut whole = PaddedFieldN::new(&[4, 3, 3]);
         for (i, v) in whole.padded_mut().iter_mut().enumerate() {
             *v = (i as f64 * 0.17).cos();
         }
+        let kernel = KernelN::new(&p, &whole, &[4, 3, 3], 0, 0.01);
         let mut parts = whole.clone();
         whole.refresh_periodic_halo();
         parts.refresh_periodic_halo();
-        whole.step_with(kernel);
-        parts.step_planes(0, 1, kernel);
-        parts.step_planes(1, 3, kernel);
+        whole.step_with(&kernel);
+        parts.step_planes(0, 1, &kernel);
+        parts.step_planes(1, 3, &kernel);
         parts.commit_step();
         assert_eq!(whole.padded()[..], parts.padded()[..]);
     }

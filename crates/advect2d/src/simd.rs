@@ -180,7 +180,7 @@ impl Lanes for F64x8 {
 
 /// The instruction-set backend the SIMD rows dispatch to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Isa {
+pub(crate) enum Isa {
     Portable,
     Avx2,
     Avx512,
@@ -211,7 +211,7 @@ fn detect_isa() -> Isa {
     }
 }
 
-fn isa() -> Isa {
+pub(crate) fn isa() -> Isa {
     static ISA: OnceLock<Isa> = OnceLock::new();
     *ISA.get_or_init(detect_isa)
 }

@@ -1,7 +1,9 @@
 //! `expt-kernel` — kernel vectorization acceptance: per-stencil row
 //! GFLOP/s (scalar vs SIMD) and the level-9 steady-state step wall under
 //! scalar / SIMD / SIMD+bands (see `ftsg_bench::experiments::kernel`).
-//! Emits `BENCH_pr8.json` (override the path with `BENCH_OUT`) and
+//! Also times the d = 3 row kernels (the median wall of one level-6³
+//! step). Emits `BENCH_pr8.json` (override the path with `BENCH_OUT`),
+//! `BENCH_pr12.json` (`BENCH_pr12_smoke.json` under `--quick`) and
 //! `results/kernel.csv`.
 //!
 //! Accepts the standard experiment flags; only `--reps` (timing samples,
@@ -27,4 +29,7 @@ fn main() {
     let out = std::env::var("BENCH_OUT").unwrap_or_else(|_| "BENCH_pr8.json".into());
     std::fs::write(&out, report.to_json(&utc_today())).expect("write bench json");
     println!("wrote {out}");
+    let nd_out = if opts.quick { "BENCH_pr12_smoke.json" } else { "BENCH_pr12.json" };
+    std::fs::write(nd_out, report.to_json_nd(&utc_today())).expect("write nd bench json");
+    println!("wrote {nd_out}");
 }

@@ -1,8 +1,10 @@
-//! `expt-regress` — bench-regression gate: re-measure the level-9 step
-//! speedup, the n9 combine-tree speedup and the ~1k-rank pooled scale
-//! wall, and fail (exit 1) if any slips more than 15% against the
-//! committed `BENCH_pr1.json` / `BENCH_pr3.json` / `BENCH_pr6.json`
-//! baselines (see `ftsg_bench::experiments::regress`).
+//! `expt-regress` — bench-regression gate: re-measure the seven gated
+//! quantities (the level-9 step speedup, the n9 combine-tree speedup,
+//! the ~1k-rank pooled scale wall, the level-9 SIMD-vs-scalar ratio, the
+//! service overlap ratio, the d=2 level-9 step wall and the d=3 step
+//! wall) and fail (exit 1) if any slips more than 15% against the
+//! committed `BENCH_pr1/pr3/pr6/pr8/pr9/pr12.json` baselines (see
+//! `ftsg_bench::experiments::regress`).
 //!
 //! ```text
 //! expt-regress [--dir PATH] [--iters K]

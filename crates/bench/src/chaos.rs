@@ -424,7 +424,7 @@ impl ChaosCase {
     pub fn solve_config(&self) -> (AppConfig, usize) {
         let plan = FaultPlan::new_sites(self.victims.clone());
         let cfg = self.app_config(plan);
-        let world = cfg.world_size(self.layout().world_size());
+        let world = cfg.world_size(cfg.layout_world_size());
         (cfg, world)
     }
 
@@ -478,7 +478,7 @@ pub struct CaseResult {
 /// artifact path: trace + timelines for a failing repro).
 pub fn run_case_report(case: &ChaosCase, plan: FaultPlan, seed: u64, stall: Duration) -> Report {
     let cfg = case.app_config(plan);
-    let world = cfg.world_size(case.layout().world_size());
+    let world = cfg.world_size(cfg.layout_world_size());
     let mut rc = RunConfig::local(world).with_seed(seed);
     rc.stall_timeout = stall;
     run(rc, move |ctx| run_app(&cfg, ctx))

@@ -9,17 +9,28 @@
 //! The experiment also *checks* (not assumes) the bitwise contract: the
 //! SIMD and banded paths must reproduce the scalar trajectory exactly,
 //! bit for bit, over several steps before any timing is reported.
+//!
+//! A second table times the d = 3 row kernels ([`advect2d::KernelN`]):
+//! the median wall of one steady-state step at level 6 on every axis,
+//! written to `BENCH_pr12.json`, whose advection median is the baseline
+//! of the `d3_step_wall_ns` regression gate.
 
 use std::time::Instant;
 
 use advect2d::laxwendroff::{lax_wendroff_row, LwCoef};
 use advect2d::{
     ftcs_row, ftcs_row_simd, lax_wendroff_row_simd, simd_isa_label, upwind_row, upwind_row_simd,
-    AdvectionProblem, BandPool, PaddedField, UpwindCoef,
+    AdvectionProblem, BandPool, KernelN, PaddedField, PaddedFieldN, ProblemN, TimeGridN,
+    UpwindCoef,
 };
 use sparsegrid::{Grid2, LevelPair};
 
+use crate::experiments::regress::median;
 use crate::table::{sig3, Table};
+
+/// Level of every axis of the d = 3 step measurement: 64³ = 262,144
+/// cells, the cell count of the level-9 2D step.
+pub const D3_LEVEL: u32 = 6;
 
 /// FLOPs per output cell of each row kernel, counted from the pinned
 /// scalar expressions (adds + subs + muls; no FMA contraction exists in
@@ -46,6 +57,14 @@ pub struct StepRow {
     pub cells_per_s: f64,
 }
 
+/// One d = 3 steady-state step measurement.
+#[derive(Debug, Clone)]
+pub struct NdStepRow {
+    pub problem: &'static str,
+    pub median_ns: f64,
+    pub ns_per_cell: f64,
+}
+
 /// Whole-experiment outcome.
 #[derive(Debug, Clone)]
 pub struct KernelReport {
@@ -63,6 +82,8 @@ pub struct KernelReport {
     pub pr1_fast_ns: Option<f64>,
     /// `pr1_fast_ns / simd_ns` — the ≥ 2x acceptance quantity.
     pub speedup_vs_pr1_fast: Option<f64>,
+    /// d = 3 steps: advection–diffusion, then Jacobi.
+    pub nd_steps: Vec<NdStepRow>,
 }
 
 /// The minimum over samples — the estimator every timing here uses.
@@ -206,6 +227,38 @@ fn measure_level9(iters: usize) -> Vec<StepRow> {
         .collect()
 }
 
+/// Median wall of one steady-state d = 3 `SolverN` step — a periodic
+/// halo refresh plus one row-kernel sweep, the loop body of
+/// `SolverN::run` — at level [`D3_LEVEL`] on every axis, for the
+/// advection–diffusion and the Jacobi kernel. Each kernel warms up in its
+/// own steady state first, as in [`measure_level9`].
+pub fn measure_d3_steps(iters: usize) -> Vec<NdStepRow> {
+    let np = vec![1usize << D3_LEVEL; 3];
+    let cells = np.iter().product::<usize>() as f64;
+    let iters = iters.max(5);
+    let warmup = (iters / 4).max(5);
+    [("advection", ProblemN::standard_advection(3)), ("jacobi", ProblemN::standard_elliptic(3))]
+        .into_iter()
+        .map(|(problem, p)| {
+            let dt = TimeGridN::for_system(&p, D3_LEVEL, 1, 0.4).dt;
+            let mut field = PaddedFieldN::new(&np);
+            field.fill(&np, 0, |x| p.initial(x));
+            let kernel = KernelN::new(&p, &field, &np, 0, dt);
+            let mut step = || {
+                let t = Instant::now();
+                field.refresh_periodic_halo();
+                field.step_with(&kernel);
+                t.elapsed().as_secs_f64() * 1e9
+            };
+            for _ in 0..warmup {
+                step();
+            }
+            let ns = median((0..iters).map(|_| step()).collect());
+            NdStepRow { problem, median_ns: ns, ns_per_cell: ns / cells }
+        })
+        .collect()
+}
+
 /// Committed `level9_step/fast_double_buffered/9x9` median from
 /// `BENCH_pr1.json`, if present in `dir`.
 fn pr1_fast_baseline(dir: &str) -> Option<f64> {
@@ -227,6 +280,7 @@ pub fn run(dir: &str, iters: usize) -> KernelReport {
         rows.extend(measure_rows(nx, iters));
     }
     let steps = measure_level9(iters);
+    let nd_steps = measure_d3_steps(iters);
 
     let ns_of = |mode: &str| steps.iter().find(|r| r.mode == mode).map(|r| r.best_ns);
     let scalar = ns_of("fast_scalar").unwrap_or(f64::NAN);
@@ -243,6 +297,7 @@ pub fn run(dir: &str, iters: usize) -> KernelReport {
         bands_speedup_vs_scalar: scalar / bands,
         pr1_fast_ns,
         speedup_vs_pr1_fast: pr1_fast_ns.map(|b| b / simd),
+        nd_steps,
     }
 }
 
@@ -266,7 +321,61 @@ impl KernelReport {
                 format!("{} cells/s", sig3(s.cells_per_s)),
             ]);
         }
+        for r in &self.nd_steps {
+            t.row(vec![
+                format!("d3_step/{}/{l}x{l}x{l} (median)", r.problem, l = D3_LEVEL),
+                sig3(r.median_ns),
+                format!("{} ns/cell", sig3(r.ns_per_cell)),
+            ]);
+        }
         t
+    }
+
+    /// `BENCH_pr12.json` contents: the d = 3 step medians, acceptance
+    /// block first.
+    pub fn to_json_nd(&self, date: &str) -> String {
+        let ns_of = |p: &str| self.nd_steps.iter().find(|r| r.problem == p).map(|r| r.median_ns);
+        let mut s = String::new();
+        s.push_str("{\n \"pr\": 12,\n");
+        s.push_str(&format!(" \"date\": \"{date}\",\n"));
+        s.push_str(
+            " \"note\": \"d-dimensional row kernels from expt-kernel: median wall of one \
+             steady-state d=3 SolverN step (periodic halo refresh + one KernelN row sweep) at \
+             level 6 on every axis. acceptance.d3_step_median_ns (advection-diffusion) is the \
+             baseline of the expt-regress gate d3_step_wall_ns.\",\n",
+        );
+        s.push_str(&format!(
+            " \"config\": {{\"simd_isa\": \"{}\", \"dim\": 3, \"level\": {D3_LEVEL}, \
+             \"cells\": {}}},\n",
+            self.isa,
+            1usize << (3 * D3_LEVEL)
+        ));
+        s.push_str(" \"acceptance\": {\n");
+        s.push_str(&format!(
+            "  \"d3_step_median_ns\": {:.1},\n",
+            ns_of("advection").unwrap_or(f64::NAN)
+        ));
+        s.push_str(&format!(
+            "  \"d3_jacobi_step_median_ns\": {:.1}\n }},\n \"results\": [\n",
+            ns_of("jacobi").unwrap_or(f64::NAN)
+        ));
+        let rows: Vec<String> = self
+            .nd_steps
+            .iter()
+            .map(|r| {
+                format!(
+                    "  {{\"bench\": \"d3_step/{}/{l}x{l}x{l}\", \"median_ns\": {:.1}, \
+                     \"ns_per_cell\": {:.4}}}",
+                    r.problem,
+                    r.median_ns,
+                    r.ns_per_cell,
+                    l = D3_LEVEL
+                )
+            })
+            .collect();
+        s.push_str(&rows.join(",\n"));
+        s.push_str("\n ]\n}\n");
+        s
     }
 
     /// `BENCH_pr8.json` contents: acceptance block first, then one result
@@ -351,5 +460,10 @@ mod tests {
         assert!(json.contains("\"level9_simd_speedup_vs_scalar\""));
         assert!(json.contains("level9_step/fast_simd_bands2/9x9"));
         assert!(report.table().render().contains("GFLOP/s"));
+        assert_eq!(report.nd_steps.len(), 2);
+        let nd = report.to_json_nd("2026-01-01");
+        let step = crate::experiments::scale::json_num(&nd, "d3_step_median_ns");
+        assert!(step.is_some_and(|v| v > 0.0), "{nd}");
+        assert!(nd.contains("d3_step/jacobi/6x6x6"));
     }
 }

@@ -36,6 +36,12 @@
 //!    Guards the classic 2D hot path against the d-dimensional
 //!    generalization: the speedup gates are ratios and would hide a
 //!    change that slowed both formulations equally.
+//! 7. **`d3_step_wall_ns`** (wall clock, lower is better) — the absolute
+//!    median wall of one steady-state d=3 `SolverN` step (halo refresh
+//!    plus the advection–diffusion row kernel, level 6 on every axis),
+//!    vs `BENCH_pr12.json` `acceptance.d3_step_median_ns`. Guards the nd
+//!    row kernels, which no 2D gate runs: a dispatch or row-walk change
+//!    that falls back to per-point work shows up here.
 //!
 //! Wall-clock gates are inherently machine-relative, so CI runs this lane
 //! advisory (`continue-on-error`); locally a nonzero exit means "look
@@ -138,7 +144,7 @@ fn num_field(text: &str, key: &str, file: &str) -> Result<f64, String> {
     json_num(text, key).ok_or_else(|| format!("{file}: no numeric field \"{key}\""))
 }
 
-fn median(mut v: Vec<f64>) -> f64 {
+pub(crate) fn median(mut v: Vec<f64>) -> f64 {
     v.sort_by(f64::total_cmp);
     v[v.len() / 2]
 }
@@ -238,6 +244,13 @@ pub fn run(dir: &str, iters: usize) -> Result<RegressReport, String> {
     let simd_fresh = crate::experiments::kernel::measure_simd_step_speedup(iters);
     let step_wall_base = num_field(&pr8, "pr1_fast_double_buffered_median_ns", "BENCH_pr8.json")?;
 
+    let pr12 = read_baseline(dir, "BENCH_pr12.json")?;
+    let d3_base = num_field(&pr12, "d3_step_median_ns", "BENCH_pr12.json")?;
+    let d3_fresh = crate::experiments::kernel::measure_d3_steps(iters)
+        .iter()
+        .find(|r| r.problem == "advection")
+        .map_or(f64::NAN, |r| r.median_ns);
+
     let pr9 = read_baseline(dir, "BENCH_pr9.json")?;
     let serve_base = num_field(&pr9, "gate_overlap_ratio", "BENCH_pr9.json")?;
     let serve_fresh = crate::experiments::serve::measure_gate_overlap_ratio();
@@ -268,6 +281,7 @@ pub fn run(dir: &str, iters: usize) -> Result<RegressReport, String> {
                 fast_wall * 1e9,
                 false,
             ),
+            GateResult::new("d3_step_wall_ns", "BENCH_pr12.json", d3_base, d3_fresh, false),
         ],
         tolerance: TOLERANCE,
     })

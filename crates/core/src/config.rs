@@ -8,6 +8,8 @@ use sparsegrid::{GridSystemN, Layout};
 use ulfm_sim::FaultPlan;
 
 use crate::checkpoint::CorruptionPlan;
+use crate::layout::ProcLayout;
+use crate::layout_nd::ProcLayoutN;
 use crate::policy::RecoveryPolicy;
 use crate::reconstruct::RespawnPolicy;
 
@@ -317,6 +319,19 @@ impl AppConfig {
     pub fn with_spares(mut self, k: usize) -> Self {
         self.spares = k;
         self
+    }
+
+    /// Active slots of this configuration's process layout: the 2D
+    /// [`ProcLayout`] at `dim` = 2, the d-dimensional [`ProcLayoutN`]
+    /// otherwise — the layout [`run_app`](crate::run_app) builds. Launch
+    /// with [`world_size`](Self::world_size) of this value.
+    pub fn layout_world_size(&self) -> usize {
+        if self.dim >= 3 {
+            ProcLayoutN::new(self.dim, self.n, self.l, self.technique.layout(), self.scale)
+                .world_size()
+        } else {
+            ProcLayout::new(self.n, self.l, self.technique.layout(), self.scale).world_size()
+        }
     }
 
     /// The world size this configuration must be launched with: the

@@ -7,7 +7,7 @@
 //! along the last axis inside a one-cell halo-padded buffer; a step wraps
 //! the transverse axes periodically (the slab owns them entirely), then
 //! exchanges the two boundary planes with the ring neighbours — each one
-//! contiguous slice of the padded buffer — and applies the point kernel.
+//! contiguous slice of the padded buffer — and applies the row kernel.
 //! Like the 2D [`crate::psolve::DistributedSolver`], the overlapped
 //! [`step`](DistributedSolverN::step) computes the deep interior while
 //! the planes fly and is **bitwise equal** to the blocking reference
@@ -16,7 +16,7 @@
 
 use advect2d::ndfield::PaddedFieldN;
 use advect2d::ndproblem::ProblemN;
-use advect2d::ndsolve::{jacobi_kernel, upwind_diffusion_kernel, UpwindDiffusionCoefN};
+use advect2d::ndsolve::KernelN;
 use sparsegrid::ndgrid::advance;
 use sparsegrid::LevelVecN;
 use ulfm_sim::{waitall, Comm, Ctx, Result};
@@ -29,10 +29,6 @@ use crate::psolve::block_range;
 const TAG_UP: i32 = 111;
 const TAG_DOWN: i32 = 112;
 
-/// The boxed point-update kernel a slab applies at each padded offset
-/// (upwind–diffusion or Jacobi, chosen by the problem class).
-type PointKernel = Box<dyn Fn(&[f64], usize) -> f64 + Send>;
-
 /// One rank's share of a distributed d-dimensional sub-grid solve.
 pub struct DistributedSolverN {
     problem: ProblemN,
@@ -43,36 +39,10 @@ pub struct DistributedSolverN {
     z0: usize,
     lnz: usize,
     field: PaddedFieldN,
-    kernel: PointKernel,
+    kernel: KernelN,
     recv_lo: Vec<f64>,
     recv_hi: Vec<f64>,
     steps_done: u64,
-}
-
-/// Sample the problem's right-hand side into the padded offset space of
-/// a slab field whose last axis starts at global plane `z0`. At `z0 = 0`
-/// with a full-extent slab this reproduces
-/// [`advect2d::ndsolve::padded_rhs`] exactly.
-fn padded_rhs_slab(problem: &ProblemN, field: &PaddedFieldN, z0: usize, np: &[usize]) -> Vec<f64> {
-    let d = field.dim();
-    let shape = field.shape().to_vec();
-    let mut rhs = vec![0.0; field.padded().len()];
-    let mut idx = vec![0usize; d];
-    loop {
-        let off: usize = idx.iter().zip(field.pstrides()).map(|(&k, &s)| (k + 1) * s).sum();
-        let x: Vec<f64> = idx
-            .iter()
-            .enumerate()
-            .map(|(i, &k)| {
-                let g = if i == d - 1 { k + z0 } else { k };
-                g as f64 / np[i] as f64
-            })
-            .collect();
-        rhs[off] = problem.rhs(&x);
-        if !advance(&mut idx, &shape) {
-            return rhs;
-        }
-    }
 }
 
 impl DistributedSolverN {
@@ -93,16 +63,7 @@ impl DistributedSolverN {
         let mut shape = np.clone();
         shape[d - 1] = lnz;
         let field = PaddedFieldN::new(&shape);
-        let pstride = field.pstrides().to_vec();
-        let h: Vec<f64> = np.iter().map(|&n| 1.0 / n as f64).collect();
-        let kernel: PointKernel = if problem.is_elliptic() {
-            let inv_h2: Vec<f64> = h.iter().map(|hi| 1.0 / (hi * hi)).collect();
-            let rhs = padded_rhs_slab(&problem, &field, z0, &np);
-            Box::new(jacobi_kernel(inv_h2, pstride, rhs))
-        } else {
-            let coef = UpwindDiffusionCoefN::new(&problem, &h, dt);
-            Box::new(upwind_diffusion_kernel(coef, pstride))
-        };
+        let kernel = KernelN::new(&problem, &field, &np, z0, dt);
         let mut s = DistributedSolverN {
             problem,
             level: level.to_vec(),
@@ -124,24 +85,9 @@ impl DistributedSolverN {
     /// Refill the slab from the initial condition and rewind the step
     /// counter.
     pub fn reset_to_initial(&mut self) {
-        let d = self.level.len();
-        let np: Vec<f64> = self.level.iter().map(|&l| (1usize << l) as f64).collect();
-        let z0 = self.z0;
-        let shape = self.field.shape().to_vec();
-        let pstride = self.field.pstrides().to_vec();
-        let mut idx = vec![0usize; d];
-        let mut x = vec![0.0f64; d];
-        loop {
-            for i in 0..d {
-                let g = if i == d - 1 { idx[i] + z0 } else { idx[i] };
-                x[i] = g as f64 / np[i];
-            }
-            let off: usize = idx.iter().zip(&pstride).map(|(&k, &s)| (k + 1) * s).sum();
-            self.field.padded_mut()[off] = self.problem.initial(&x);
-            if !advance(&mut idx, &shape) {
-                break;
-            }
-        }
+        let np: Vec<usize> = self.level.iter().map(|&l| 1usize << l).collect();
+        let problem = &self.problem;
+        self.field.fill(&np, self.z0, |x| problem.initial(x));
         self.steps_done = 0;
     }
 
@@ -178,7 +124,7 @@ impl DistributedSolverN {
         ];
         // Deep interior planes need no external halo.
         if lnz > 2 {
-            field.step_planes(1, lnz - 1, &**kernel);
+            field.step_planes(1, lnz - 1, kernel);
         }
         ctx.compute_step_cells((plane_cells * lnz.saturating_sub(2)) as u64);
         waitall(ctx, &mut reqs)?;
@@ -191,9 +137,9 @@ impl DistributedSolverN {
         *recv_lo = lo;
         *recv_hi = hi;
         // Boundary planes complete the cover.
-        field.step_planes(0, 1, &**kernel);
+        field.step_planes(0, 1, kernel);
         if lnz > 1 {
-            field.step_planes(lnz - 1, lnz, &**kernel);
+            field.step_planes(lnz - 1, lnz, kernel);
         }
         ctx.compute_step_cells((plane_cells * lnz.min(2)) as u64);
         field.commit_step();
@@ -220,7 +166,7 @@ impl DistributedSolverN {
         field.set_plane(lnz + 1, &hi);
         *recv_lo = lo;
         *recv_hi = hi;
-        field.step_planes(0, lnz, &**kernel);
+        field.step_planes(0, lnz, kernel);
         field.commit_step();
         ctx.compute_step_cells((self.plane_cells() * lnz) as u64);
         self.steps_done += 1;

@@ -43,7 +43,6 @@ use std::time::Duration;
 
 use ftsg_core::app::{keys, run_app};
 use ftsg_core::config::{AppConfig, AppEvent, AppObserver};
-use ftsg_core::ProcLayout;
 use ulfm_sim::{run, Report, RunConfig};
 
 /// Opaque job handle, unique per [`Service`] for its lifetime.
@@ -590,9 +589,7 @@ fn execute_solve(
     events: EventTx,
 ) -> Result<Terminal, String> {
     let SolveSpec { cfg, seed, stall, sim_workers } = spec;
-    let layout_world =
-        ProcLayout::new(cfg.n, cfg.l, cfg.technique.layout(), cfg.scale).world_size();
-    let world = cfg.world_size(layout_world);
+    let world = cfg.world_size(cfg.layout_world_size());
     // Chain rather than replace a caller-supplied observer: it runs
     // first, synchronously on rank 0's fiber (tests use this to flip the
     // cancel token at an exact protocol point).

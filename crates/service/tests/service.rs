@@ -7,12 +7,14 @@ use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::time::Duration;
 
+use ftsg_core::app::keys;
 use ftsg_core::config::{AppConfig, AppEvent, AppObserver, Technique};
+use ftsg_core::run_app;
 use ftsg_service::{
     CustomOutput, JobEvent, JobId, JobOutput, JobSpec, JobState, Service, ServiceConfig,
     SubmitError,
 };
-use ulfm_sim::FaultPlan;
+use ulfm_sim::{run, FaultPlan, RunConfig};
 
 fn collect_events(rx: Receiver<JobEvent>) -> Vec<JobEvent> {
     rx.try_iter().collect()
@@ -134,6 +136,37 @@ fn solve_job_with_faults_recovers_and_completes() {
         events.iter().any(|e| matches!(e, JobEvent::Recovered { ranks, .. } if *ranks == 1)),
         "committed recovery must stream as a Recovered event"
     );
+}
+
+/// d = 3 solves launch the world of the d-dimensional layout: a healthy
+/// job lands `Done` with the combined error of the same run made
+/// directly, and a job that loses a rank recovers and lands `Done`.
+#[test]
+fn d3_solve_jobs_complete() {
+    let cfg = AppConfig::small_nd(Technique::AlternateCombination, 3);
+    let world = cfg.world_size(cfg.layout_world_size());
+    let direct_cfg = cfg.clone();
+    let direct = run(RunConfig::local(world).with_seed(5), move |ctx| run_app(&direct_cfg, ctx));
+    direct.assert_no_app_errors();
+
+    let (svc, _rx) = Service::start(ServiceConfig { workers: 2, queue_depth: 4 });
+    let healthy = svc.submit(JobSpec::solve("ac-d3", cfg, 5)).expect("submit");
+    let faulty_cfg = AppConfig::small_nd(Technique::CheckpointRestart, 3)
+        .with_plan(FaultPlan::new(vec![(3, 6)]));
+    let faulty = svc.submit(JobSpec::solve("cr-d3-faulty", faulty_cfg, 7)).expect("submit");
+    assert_eq!(svc.wait(healthy), Some(JobState::Done));
+    assert_eq!(svc.wait(faulty), Some(JobState::Done));
+    let Some(JobOutput::Solve(report)) = svc.take_output(healthy) else {
+        panic!("solve output missing");
+    };
+    let bits = |r: &ulfm_sim::Report| r.get_f64(keys::ERR_L1).map(f64::to_bits);
+    assert!(bits(&report).is_some());
+    assert_eq!(bits(&report), bits(&direct), "service and direct d3 runs must agree bitwise");
+    let Some(JobOutput::Solve(report)) = svc.take_output(faulty) else {
+        panic!("solve output missing");
+    };
+    assert_eq!(report.procs_failed, 1);
+    svc.shutdown();
 }
 
 /// Cancellation raised *during* a recovery round: the caller's observer

@@ -17,7 +17,8 @@
 use std::sync::Arc;
 
 use ftsg::app::app::keys;
-use ftsg::app::{run_app, AppConfig, ProcLayout, RecoveryPolicy, RespawnPolicy, Technique};
+use ftsg::app::{run_app, AppConfig, RecoveryPolicy, RespawnPolicy, Technique};
+use ftsg::grid::GridSystemN;
 use ftsg::mpi::{run, BetaUlfm, ClusterProfile, FaultPlan, RunConfig};
 
 struct Cli {
@@ -174,14 +175,8 @@ fn main() {
         eprintln!("ftsg: invalid configuration: {e}");
         std::process::exit(2);
     }
-    let (n_active, n_grids) = if cfg.dim >= 3 {
-        let l =
-            ftsg::app::ProcLayoutN::new(cfg.dim, cfg.n, cfg.l, cfg.technique.layout(), cfg.scale);
-        (l.world_size(), l.system().n_grids())
-    } else {
-        let l = ProcLayout::new(cfg.n, cfg.l, cfg.technique.layout(), cfg.scale);
-        (l.world_size(), l.system().n_grids())
-    };
+    let n_active = cfg.layout_world_size();
+    let n_grids = GridSystemN::new(cfg.dim, cfg.n, cfg.l, cfg.technique.layout()).n_grids();
     // Spare ranks (substitute policy only) sit after the active slots;
     // victims are always drawn from the active slots.
     let world = cfg.world_size(n_active);
